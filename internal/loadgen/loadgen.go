@@ -1,5 +1,6 @@
-// Package loadgen is an open-loop NTP load generator and capacity
-// meter for the real-UDP serving path.
+// Package loadgen is the real-UDP NTP client engine: an open-loop
+// load generator and capacity meter, plus the closed-loop exchange
+// the population simulator and the restart-storm harness poll through.
 //
 // Open-loop means arrivals are scheduled by the generator's own
 // arrival process (Poisson or fixed-interval), never by the server's
@@ -9,12 +10,17 @@
 // the standard methodology for tail-latency measurement. Requests
 // are tracked against a per-request reply deadline; replies are
 // matched by their echoed transmit timestamp (tagged with a sequence
-// counter so every outstanding request has a unique key), latencies
-// land in an HDR-style log-bucketed recorder, and kiss-of-death
-// replies are counted separately from served time. A simulated
+// counter so every outstanding request has a unique key) and
+// latencies land in an HDR-style log-bucketed recorder. A simulated
 // spoofed-source population (distinct 127/8 source addresses, where
 // the platform allows binding them) exercises a server's per-client
 // rate-limit table the way a real scattered client population would.
+//
+// Conn is the closed-loop side: one persistent socket, one request in
+// flight, built from the same request stamping and NTS protection as
+// the open-loop senders. Both sides sort every request with one
+// classifier, ClassifyReply: served, RATE, NTS NAK, other
+// kiss-of-death, invalid, or lost.
 //
 // Run drives a complete measurement and returns a Report with
 // offered vs achieved rate, loss, KoD counts, latency quantiles
@@ -33,7 +39,6 @@ import (
 	"time"
 
 	"mntp/internal/ntppkt"
-	"mntp/internal/ntptime"
 	"mntp/internal/nts"
 	"mntp/internal/ntske"
 )
@@ -162,7 +167,7 @@ type engine struct {
 	kod         atomic.Uint64
 	kodRate     atomic.Uint64
 	kodNTS      atomic.Uint64
-	ntsAuthFail atomic.Uint64
+	invalid     atomic.Uint64
 	ntsProtErrs atomic.Uint64
 	expired     atomic.Uint64
 	late        atomic.Uint64
@@ -188,54 +193,24 @@ type engine struct {
 	populationBound int
 }
 
-// ReplyClass tells what a matched, in-deadline reply actually was:
-// genuine served time, a deliberate RATE refusal (a rate limit or an
-// overload shed), or another kiss-of-death. Classifying keeps "loss"
-// meaning what it should — no answer at all — instead of lumping a
-// server's explicit refusals in with drops.
-type ReplyClass int
-
-const (
-	// ReplyServed is a mode-4/5 reply carrying time.
-	ReplyServed ReplyClass = iota
-	// ReplyKoDRate is a RATE kiss-of-death: the server answered but
-	// deliberately refused time (rate limiting or load shedding).
-	ReplyKoDRate
-	// ReplyKoDNTS is an NTS NAK: the server saw NTS fields it could
-	// not authenticate and told the client to re-run key exchange.
-	// Distinct from RATE/other because it signals a key/cookie
-	// problem, not load.
-	ReplyKoDNTS
-	// ReplyKoDOther is any other kiss-of-death (DENY, RSTR, ...).
-	ReplyKoDOther
-)
-
-// ClassifyReply classifies a decoded server reply by its kiss code.
-// The string is the kiss code for the KoD classes, "" for served
-// time.
-func ClassifyReply(p *ntppkt.Packet) (ReplyClass, string) {
-	code, ok := p.KissCode()
-	if !ok {
-		return ReplyServed, ""
-	}
-	switch code {
-	case "RATE":
-		return ReplyKoDRate, code
-	case "NTSN":
-		return ReplyKoDNTS, code
-	}
-	return ReplyKoDOther, code
-}
-
-// countKoD tallies one kiss-of-death reply by class and code.
-func (e *engine) countKoD(class ReplyClass, code string) {
-	e.kod.Add(1)
+// count tallies one matched, in-deadline reply by class: served time
+// is timed into the recorder, every kiss-of-death is counted by class
+// and code, and an invalid reply is counted apart (NTSAuthFail).
+func (e *engine) count(class ReplyClass, code string, d time.Duration) {
 	switch class {
+	case ReplyServed:
+		e.received.Add(1)
+		e.rec.record(d)
+		return
+	case ReplyInvalid:
+		e.invalid.Add(1)
+		return
 	case ReplyKoDRate:
 		e.kodRate.Add(1)
 	case ReplyKoDNTS:
 		e.kodNTS.Add(1)
 	}
+	e.kod.Add(1)
 	e.kodMu.Lock()
 	e.kodCodes[code]++
 	e.kodMu.Unlock()
@@ -506,24 +481,13 @@ func (e *engine) send(id int) {
 }
 
 func (e *engine) sendOne(sk *sock, req *ntppkt.Packet, buf []byte) []byte {
-	ctr := e.ctr.Add(1)
 	sent := time.Now()
-	ts := ntptime.FromTime(sent)
-	ts = ts&^ctrMask | ntptime.Timestamp(ctr&ctrMask)
-	req.Transmit = ts
-	var st *nts.RequestState
-	if sk.sess != nil {
-		// Per-request AEAD: fresh unique ID, a cookie from the jar
-		// and the authenticator over the final header image.
-		req.Ext = req.Ext[:0]
-		var err error
-		if st, err = sk.sess.ProtectRequest(req); err != nil {
-			e.ntsProtErrs.Add(1)
-			return buf
-		}
+	buf, st, err := stampRequest(req, sent, e.ctr.Add(1), sk.sess, buf)
+	if err != nil {
+		e.ntsProtErrs.Add(1)
+		return buf
 	}
-	buf = req.Encode(buf[:0])
-	key := uint64(ts)
+	key := uint64(req.Transmit)
 	sk.mu.Lock()
 	sk.pending[key] = pendingReq{sent: sent, st: st}
 	sk.mu.Unlock()
@@ -557,8 +521,7 @@ func (e *engine) receive(sk *sock) {
 			continue
 		}
 		t := time.Now()
-		if p.DecodeInto(buf[:n]) != nil ||
-			(p.Mode != ntppkt.ModeServer && p.Mode != ntppkt.ModeBroadcast) {
+		if !decodeReply(&p, buf[:n]) {
 			e.stray.Add(1)
 			continue
 		}
@@ -578,20 +541,8 @@ func (e *engine) receive(sk *sock) {
 			e.late.Add(1) // reply exists but missed its deadline: lost
 			continue
 		}
-		if class, code := ClassifyReply(&p); class != ReplyServed {
-			e.countKoD(class, code)
-			continue
-		}
-		if sk.sess != nil && pr.st != nil {
-			// Verify the authenticator (and harvest re-supplied
-			// cookies); an unverifiable reply is not served time.
-			if err := sk.sess.VerifyReply(&p, pr.st); err != nil {
-				e.ntsAuthFail.Add(1)
-				continue
-			}
-		}
-		e.received.Add(1)
-		e.rec.record(d)
+		class, code := ClassifyReply(&p, p.Origin, sk.sess, pr.st)
+		e.count(class, code, d)
 	}
 }
 

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"bytes"
 	"encoding/json"
 	"net"
 	"strings"
@@ -10,66 +11,231 @@ import (
 	"mntp/internal/clock"
 	"mntp/internal/ntpnet"
 	"mntp/internal/ntppkt"
+	"mntp/internal/ntptime"
+	"mntp/internal/nts"
 )
 
 // --- Reply classifier.
 
-// TestClassifyReply pins the kiss-code classification that keeps the
-// report's "loss" honest: RATE kisses are deliberate refusals (rate
-// limits and overload sheds), other kisses are their own bucket, and
-// only genuinely unanswered requests count as lost.
+// TestClassifyReply pins the one classification every real-UDP client
+// path shares, and that keeps the report's "loss" honest: RATE kisses
+// are deliberate refusals (rate limits and overload sheds), NTS NAKs a
+// key problem, other kisses their own bucket, replies that fail
+// validation or authentication are invalid, and only a request with no
+// reply at all counts as lost.
 func TestClassifyReply(t *testing.T) {
-	served := &ntppkt.Packet{Mode: ntppkt.ModeServer, Stratum: 2}
-	rate := &ntppkt.Packet{Mode: ntppkt.ModeServer, Stratum: ntppkt.StratumKoD, RefID: ntppkt.KissRate}
-	deny := &ntppkt.Packet{Mode: ntppkt.ModeServer, Stratum: ntppkt.StratumKoD, RefID: ntppkt.KissDeny}
-	rstr := &ntppkt.Packet{Mode: ntppkt.ModeServer, Stratum: ntppkt.StratumKoD, RefID: ntppkt.KissRstr}
-	// A client-mode stratum-0 packet is not a kiss-of-death.
-	notKoD := &ntppkt.Packet{Mode: ntppkt.ModeClient, Stratum: 0, RefID: ntppkt.KissRate}
+	const origin = ntptime.Timestamp(0xE000_0000_1234_5678)
+	reply := func(mutate func(*ntppkt.Packet)) *ntppkt.Packet {
+		p := &ntppkt.Packet{Version: ntppkt.Version4, Mode: ntppkt.ModeServer, Stratum: 2,
+			Origin: origin, Receive: origin + 1, Transmit: origin + 2}
+		if mutate != nil {
+			mutate(p)
+		}
+		return p
+	}
+	kiss := func(code [4]byte) *ntppkt.Packet {
+		return reply(func(p *ntppkt.Packet) {
+			p.Leap, p.Stratum, p.RefID = ntppkt.LeapNotSync, ntppkt.StratumKoD, code
+			p.Receive, p.Transmit = 0, 0
+		})
+	}
+	sess, st, ntsServed, ntsForged := ntsReplies(t, origin)
 
 	cases := []struct {
 		name string
 		pkt  *ntppkt.Packet
+		sess *nts.Session
+		st   *nts.RequestState
 		want ReplyClass
 		code string
 	}{
-		{"served", served, ReplyServed, ""},
-		{"rate", rate, ReplyKoDRate, "RATE"},
-		{"deny", deny, ReplyKoDOther, "DENY"},
-		{"rstr", rstr, ReplyKoDOther, "RSTR"},
-		{"client mode not KoD", notKoD, ReplyServed, ""},
+		{"served", reply(nil), nil, nil, ReplyServed, ""},
+		{"rate", kiss(ntppkt.KissRate), nil, nil, ReplyKoDRate, "RATE"},
+		{"nts nak", kiss(ntppkt.KissNTSN), sess, st, ReplyKoDNTS, "NTSN"},
+		{"deny", kiss(ntppkt.KissDeny), nil, nil, ReplyKoDOther, "DENY"},
+		{"rstr", kiss(ntppkt.KissRstr), nil, nil, ReplyKoDOther, "RSTR"},
+		{"unsynchronized", reply(func(p *ntppkt.Packet) { p.Leap = ntppkt.LeapNotSync }), nil, nil, ReplyInvalid, ""},
+		{"stratum 16", reply(func(p *ntppkt.Packet) { p.Stratum = 16 }), nil, nil, ReplyInvalid, ""},
+		{"zero transmit", reply(func(p *ntppkt.Packet) { p.Transmit = 0 }), nil, nil, ReplyInvalid, ""},
+		{"bogus origin", reply(func(p *ntppkt.Packet) { p.Origin++ }), nil, nil, ReplyInvalid, ""},
+		// A client-mode stratum-0 packet is not a kiss-of-death.
+		{"client mode", reply(func(p *ntppkt.Packet) {
+			p.Mode, p.Stratum, p.RefID = ntppkt.ModeClient, 0, ntppkt.KissRate
+		}), nil, nil, ReplyInvalid, ""},
+		{"nts served", ntsServed, sess, st, ReplyServed, ""},
+		{"nts authenticator fails", ntsForged, sess, st, ReplyInvalid, ""},
+		{"no reply before deadline", nil, nil, nil, ReplyLost, ""},
 	}
 	for _, c := range cases {
-		class, code := ClassifyReply(c.pkt)
+		class, code := ClassifyReply(c.pkt, origin, c.sess, c.st)
 		if class != c.want || code != c.code {
 			t.Errorf("%s: ClassifyReply = (%v, %q), want (%v, %q)", c.name, class, code, c.want, c.code)
 		}
 	}
 }
 
-// TestKoDClassificationReachesReport: counting three RATE and one
-// DENY reply must surface in KoD, KoDRate and the per-code map, so
-// deliberate sheds never masquerade as loss in the JSON.
+// ntsReplies protects one request under a fresh session and returns
+// the server's genuine protected reply to it plus a copy whose
+// authenticated transmit timestamp was altered in flight.
+func ntsReplies(t *testing.T, origin ntptime.Timestamp) (*nts.Session, *nts.RequestState, *ntppkt.Packet, *ntppkt.Packet) {
+	t.Helper()
+	ring, err := nts.NewKeyRing(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2s, s2c := bytes.Repeat([]byte{0x11}, nts.SIVKeyLen), bytes.Repeat([]byte{0xee}, nts.SIVKeyLen)
+	cookie, err := ring.SealCookie(nts.AEADAESSIVCMAC256, c2s, s2c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := &nts.Session{AEAD: nts.AEADAESSIVCMAC256, C2S: c2s, S2C: s2c}
+	sess.AddCookies([][]byte{cookie})
+	req := ntppkt.NewClient(ntppkt.Version4, origin)
+	st, err := sess.ProtectRequest(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sreq, err := nts.VerifyRequest(ring, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := ntppkt.Packet{Version: ntppkt.Version4, Mode: ntppkt.ModeServer, Stratum: 2,
+		Origin: origin, Receive: origin + 1, Transmit: origin + 2}
+	if err := nts.ProtectResponse(ring, sreq, &resp); err != nil {
+		t.Fatal(err)
+	}
+	var served, forged ntppkt.Packet
+	wire := resp.Encode(nil)
+	if err := served.DecodeInto(wire); err != nil {
+		t.Fatal(err)
+	}
+	if err := forged.DecodeInto(append([]byte(nil), wire...)); err != nil {
+		t.Fatal(err)
+	}
+	forged.Transmit++
+	return sess, st, &served, &forged
+}
+
+// TestKoDClassificationReachesReport: counting three RATE, one DENY
+// and one NTS NAK reply must surface in KoD, KoDRate, KoDNTS and the
+// per-code map, so deliberate sheds and key problems never masquerade
+// as loss in the JSON.
 func TestKoDClassificationReachesReport(t *testing.T) {
 	e := &engine{cfg: Config{Target: "t", Rate: 1, Duration: time.Second, Senders: 1},
 		timeout: time.Second, kodCodes: make(map[string]uint64)}
 	for i := 0; i < 3; i++ {
-		e.countKoD(ReplyKoDRate, "RATE")
+		e.count(ReplyKoDRate, "RATE", 0)
 	}
-	e.countKoD(ReplyKoDOther, "DENY")
+	e.count(ReplyKoDOther, "DENY", 0)
+	e.count(ReplyKoDNTS, "NTSN", 0)
+	e.count(ReplyInvalid, "", 0)
 	r := e.report(time.Second)
-	if r.KoD != 4 || r.KoDRate != 3 {
-		t.Errorf("KoD=%d KoDRate=%d, want 4 and 3", r.KoD, r.KoDRate)
+	if r.KoD != 5 || r.KoDRate != 3 || r.KoDNTS != 1 || r.NTSAuthFail != 1 {
+		t.Errorf("KoD=%d KoDRate=%d KoDNTS=%d NTSAuthFail=%d, want 5, 3, 1 and 1", r.KoD, r.KoDRate, r.KoDNTS, r.NTSAuthFail)
 	}
-	if r.KoDCodes["RATE"] != 3 || r.KoDCodes["DENY"] != 1 {
-		t.Errorf("KoDCodes = %v, want RATE:3 DENY:1", r.KoDCodes)
+	if r.KoDCodes["RATE"] != 3 || r.KoDCodes["DENY"] != 1 || r.KoDCodes["NTSN"] != 1 {
+		t.Errorf("KoDCodes = %v, want RATE:3 DENY:1 NTSN:1", r.KoDCodes)
 	}
 	out, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(out), `"kod_rate":3`) {
-		t.Errorf("JSON lacks kod_rate: %s", out)
+	for _, field := range []string{`"kod_rate":3`, `"kod_nts":1`} {
+		if !strings.Contains(string(out), field) {
+			t.Errorf("JSON lacks %s: %s", field, out)
+		}
 	}
+}
+
+// --- Closed-loop exchange.
+
+// TestConnExchange drives the closed-loop socket against a loopback
+// server: served time with a measured RTT, RATE once the per-client
+// budget is spent, lost against a silent endpoint — and a plain
+// exchange pinned at zero allocations (the packet and both buffers
+// are reused across exchanges).
+func TestConnExchange(t *testing.T) {
+	_, addr := startServer(t, func(s *ntpnet.Server) {
+		s.RateLimit = 4
+		s.RateWindow = time.Minute
+	})
+	c, err := Dial(addr, 500*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 4; i++ {
+		if class, rtt := c.Exchange(nil); class != ReplyServed || rtt <= 0 {
+			t.Fatalf("exchange %d = (%v, %v), want served with an RTT", i, class, rtt)
+		}
+	}
+	if class, _ := c.Exchange(nil); class != ReplyKoDRate {
+		t.Fatalf("exchange over the rate budget = %v, want ReplyKoDRate", class)
+	}
+
+	hole, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hole.Close()
+	dark, err := Dial(hole.LocalAddr().String(), 20*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dark.Close()
+	if class, rtt := dark.Exchange(nil); class != ReplyLost || rtt != 0 {
+		t.Fatalf("exchange with a silent endpoint = (%v, %v), want (ReplyLost, 0)", class, rtt)
+	}
+
+	if raceEnabled {
+		return // the race detector's instrumentation allocates
+	}
+	// AllocsPerRun counts the whole process, so the exchange is pinned
+	// against a responder that itself allocates nothing.
+	c2, err := Dial(startResponder(t), 500*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	allocs := testing.AllocsPerRun(200, func() {
+		if class, _ := c2.Exchange(nil); class != ReplyServed {
+			t.Fatalf("exchange = %v, want served", class)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("closed-loop plain exchange allocates %.1f times per op, want 0", allocs)
+	}
+}
+
+// startResponder runs a minimal allocation-free NTP responder on
+// loopback: every client request is answered with a stratum-2 reply
+// echoing its transmit timestamp.
+func startResponder(t *testing.T) string {
+	t.Helper()
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	go func() {
+		in, out := make([]byte, 2048), make([]byte, 0, ntppkt.HeaderLen)
+		var req ntppkt.Packet
+		for {
+			n, peer, err := conn.ReadFromUDPAddrPort(in)
+			if err != nil {
+				return
+			}
+			if req.DecodeInto(in[:n]) != nil {
+				continue
+			}
+			now := ntptime.FromTime(time.Now())
+			resp := ntppkt.Packet{Version: ntppkt.Version4, Mode: ntppkt.ModeServer, Stratum: 2,
+				Origin: req.Transmit, Receive: now, Transmit: now}
+			out = resp.Encode(out[:0])
+			conn.WriteToUDPAddrPort(out, peer)
+		}
+	}()
+	return conn.LocalAddr().String()
 }
 
 // --- Recorder.

@@ -20,15 +20,15 @@ import (
 // two apart.
 func TestClassifyReplyNTSNak(t *testing.T) {
 	nak := &ntppkt.Packet{Mode: ntppkt.ModeServer, Stratum: ntppkt.StratumKoD, RefID: ntppkt.KissNTSN}
-	class, code := ClassifyReply(nak)
+	class, code := ClassifyReply(nak, 0, nil, nil)
 	if class != ReplyKoDNTS || code != "NTSN" {
 		t.Fatalf("ClassifyReply(NTSN) = (%v, %q), want (%v, %q)", class, code, ReplyKoDNTS, "NTSN")
 	}
 
 	e := &engine{cfg: Config{Target: "t", Rate: 1, Duration: time.Second, Senders: 1},
 		timeout: time.Second, kodCodes: make(map[string]uint64)}
-	e.countKoD(ReplyKoDNTS, "NTSN")
-	e.countKoD(ReplyKoDRate, "RATE")
+	e.count(ReplyKoDNTS, "NTSN", 0)
+	e.count(ReplyKoDRate, "RATE", 0)
 	r := e.report(time.Second)
 	if r.KoD != 2 || r.KoDNTS != 1 || r.KoDRate != 1 {
 		t.Errorf("KoD=%d KoDNTS=%d KoDRate=%d, want 2/1/1", r.KoD, r.KoDNTS, r.KoDRate)

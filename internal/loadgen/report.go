@@ -40,7 +40,8 @@ type Report struct {
 	KoDCodes map[string]uint64 `json:"kod_codes,omitempty"`
 	// NTSSessions is how many KE sessions the run pre-established (0
 	// for a plain run); NTSAuthFail counts replies that matched a
-	// request but failed AEAD verification and were discarded.
+	// request but were discarded as invalid (ReplyInvalid): failed
+	// AEAD verification or, plain or NTS, ValidateServerReply.
 	NTSSessions int    `json:"nts_sessions,omitempty"`
 	NTSAuthFail uint64 `json:"nts_auth_fail,omitempty"`
 	// NTSProtectErrors counts requests the generator could not
@@ -107,7 +108,7 @@ func (e *engine) report(sendDur time.Duration) *Report {
 		KoDRate:          e.kodRate.Load(),
 		KoDNTS:           e.kodNTS.Load(),
 		NTSSessions:      e.ntsSessions,
-		NTSAuthFail:      e.ntsAuthFail.Load(),
+		NTSAuthFail:      e.invalid.Load(),
 		NTSProtectErrors: e.ntsProtErrs.Load(),
 		LateReplies:      e.late.Load(),
 		Stray:            e.stray.Load(),

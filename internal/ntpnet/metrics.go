@@ -14,7 +14,7 @@ import (
 const numLatencyBuckets = len(latencyBounds) + 1
 
 // latencyBounds are the upper bounds of the request-latency histogram
-// buckets (receive timestamp to reply written). The last bucket is
+// buckets (receive timestamp to reply encoded). The last bucket is
 // unbounded.
 var latencyBounds = [...]time.Duration{
 	50 * time.Microsecond,
@@ -61,15 +61,15 @@ type Metrics struct {
 	latency [numLatencyBuckets]atomic.Uint64
 }
 
-// observeLatency records one request-handling latency.
-func (m *Metrics) observeLatency(d time.Duration) {
+// latencyBucket returns the histogram counter a request-handling
+// latency of d lands in.
+func (m *Metrics) latencyBucket(d time.Duration) *atomic.Uint64 {
 	for i, b := range latencyBounds {
 		if d <= b {
-			m.latency[i].Add(1)
-			return
+			return &m.latency[i]
 		}
 	}
-	m.latency[len(latencyBounds)].Add(1)
+	return &m.latency[len(latencyBounds)]
 }
 
 // Snapshot is a consistent-enough copy of the counters for reporting

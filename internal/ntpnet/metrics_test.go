@@ -42,8 +42,8 @@ func TestLatencyQuantileEdgeCases(t *testing.T) {
 
 func TestObserveLatencyOverflowBucket(t *testing.T) {
 	var m Metrics
-	m.observeLatency(time.Hour) // beyond every finite bound
-	m.observeLatency(time.Microsecond)
+	m.latencyBucket(time.Hour).Add(1) // beyond every finite bound
+	m.latencyBucket(time.Microsecond).Add(1)
 	s := m.Snapshot()
 	if s.Latency[len(s.Latency)-1] != 1 {
 		t.Errorf("overflow bucket = %d, want 1", s.Latency[len(s.Latency)-1])
@@ -57,13 +57,13 @@ func TestSnapshotMerge(t *testing.T) {
 	var a, b Metrics
 	a.Served.Store(3)
 	a.Limited.Store(1)
-	a.observeLatency(10 * time.Microsecond)
-	a.observeLatency(time.Second) // overflow
+	a.latencyBucket(10 * time.Microsecond).Add(1)
+	a.latencyBucket(time.Second).Add(1) // overflow
 	b.Served.Store(5)
 	b.Malformed.Store(2)
 	b.WriteErrors.Store(4)
 	b.Dropped.Store(6)
-	b.observeLatency(10 * time.Microsecond)
+	b.latencyBucket(10 * time.Microsecond).Add(1)
 
 	m := a.Snapshot()
 	m.Merge(b.Snapshot())

@@ -625,10 +625,7 @@ func (s *Server) handle(sh *shard, pkt []byte, peer *net.UDPAddr, ingress time.T
 		ntsReq, err = nts.VerifyRequest(s.NTS, req)
 		cryptoDur = time.Since(cryptoStart)
 		if err != nil {
-			var ok bool
-			if out, ok = s.writeNTSNak(sh, version, req, peer, out); ok {
-				sh.metrics.NTSNaks.Add(1)
-			}
+			out = s.writeNTSNak(sh, version, req, peer, out)
 			if ctrl != nil {
 				s.observeSojourn(sh, ingress, cryptoDur)
 			}
@@ -644,10 +641,7 @@ func (s *Server) handle(sh *shard, pkt []byte, peer *net.UDPAddr, ingress time.T
 		// toss proceed, enter the table below, and become established.
 		established := limiter != nil && limiter.known(keyFromIP(peer.IP), recv)
 		if !established && rand.Float64() < ctrl.ShedProb() {
-			var ok bool
-			if out, ok = s.writeRate(sh, version, req, peer, out); ok {
-				sh.metrics.Shed.Add(1)
-			}
+			out = s.writeRate(sh, version, req, peer, out, &sh.metrics.Shed)
 			s.observeSojourn(sh, ingress, 0)
 			return out
 		}
@@ -657,11 +651,7 @@ func (s *Server) handle(sh *shard, pkt []byte, peer *net.UDPAddr, ingress time.T
 	// must follow the clock that stamps the packets, not the
 	// wall.
 	if limiter != nil && limiter.over(keyFromIP(peer.IP), recv) {
-		var ok bool
-		if out, ok = s.writeRate(sh, version, req, peer, out); ok {
-			sh.metrics.Limited.Add(1)
-		}
-		return out
+		return s.writeRate(sh, version, req, peer, out, &sh.metrics.Limited)
 	}
 	resp := ntppkt.Packet{
 		Leap:      ntppkt.LeapNone,
@@ -688,14 +678,15 @@ func (s *Server) handle(sh *shard, pkt []byte, peer *net.UDPAddr, ingress time.T
 		}
 	}
 	out = resp.Encode(out[:0])
-	if _, err := sh.conn.WriteToUDP(out, peer); err != nil {
-		sh.metrics.WriteErrors.Add(1)
-		return out
-	}
-	sh.metrics.observeLatency(s.Clock.Now().Sub(recv))
-	sh.metrics.Served.Add(1)
+	lat := sh.metrics.latencyBucket(s.Clock.Now().Sub(recv))
+	var ok bool
 	if ntsReq != nil {
-		sh.metrics.NTSServed.Add(1)
+		ok = sh.write(out, peer, &sh.metrics.Served, &sh.metrics.NTSServed, lat)
+	} else {
+		ok = sh.write(out, peer, &sh.metrics.Served, lat)
+	}
+	if !ok {
+		return out
 	}
 	if ctrl != nil {
 		s.observeSojourn(sh, ingress, cryptoDur)
@@ -703,21 +694,37 @@ func (s *Server) handle(sh *shard, pkt []byte, peer *net.UDPAddr, ingress time.T
 	return out
 }
 
+// write sends one reply to peer and counts it under every one of
+// counters (its outcome, and for served time its latency bucket). The
+// counters move before the write, so a client already holding its
+// reply never reads a count that lags the wire; a failed write takes
+// them all back and counts in WriteErrors instead.
+func (sh *shard) write(out []byte, peer *net.UDPAddr, counters ...*atomic.Uint64) bool {
+	for _, c := range counters {
+		c.Add(1)
+	}
+	if _, err := sh.conn.WriteToUDP(out, peer); err != nil {
+		for _, c := range counters {
+			c.Add(^uint64(0))
+		}
+		sh.metrics.WriteErrors.Add(1)
+		return false
+	}
+	return true
+}
+
 // writeRate sends a RATE kiss-of-death echoing the request's origin,
-// returning the reused buffer and whether the write succeeded (a
-// failure is counted in WriteErrors, not in the caller's counter).
-func (s *Server) writeRate(sh *shard, version uint8, req *ntppkt.Packet, peer *net.UDPAddr, out []byte) ([]byte, bool) {
+// counted under outcome (Limited or Shed), and returns the reused
+// buffer.
+func (s *Server) writeRate(sh *shard, version uint8, req *ntppkt.Packet, peer *net.UDPAddr, out []byte, outcome *atomic.Uint64) []byte {
 	kod := ntppkt.Packet{
 		Leap: ntppkt.LeapNotSync, Version: version, Mode: ntppkt.ModeServer,
 		Stratum: ntppkt.StratumKoD, RefID: ntppkt.KissRate,
 		Origin: req.Transmit,
 	}
 	out = kod.Encode(out[:0])
-	if _, err := sh.conn.WriteToUDP(out, peer); err != nil {
-		sh.metrics.WriteErrors.Add(1)
-		return out, false
-	}
-	return out, true
+	sh.write(out, peer, outcome)
+	return out
 }
 
 // writeNTSNak sends an NTS NAK kiss-of-death (RFC 8915 §5.7): the
@@ -726,7 +733,7 @@ func (s *Server) writeRate(sh *shard, version uint8, req *ntppkt.Packet, peer *n
 // and the client must re-run key establishment. The request's unique
 // identifier is echoed so the client can match the NAK; no
 // authenticator is added since the server has no verified keys.
-func (s *Server) writeNTSNak(sh *shard, version uint8, req *ntppkt.Packet, peer *net.UDPAddr, out []byte) ([]byte, bool) {
+func (s *Server) writeNTSNak(sh *shard, version uint8, req *ntppkt.Packet, peer *net.UDPAddr, out []byte) []byte {
 	nak := ntppkt.Packet{
 		Leap: ntppkt.LeapNotSync, Version: version, Mode: ntppkt.ModeServer,
 		Stratum: ntppkt.StratumKoD, RefID: ntppkt.KissNTSN,
@@ -736,11 +743,8 @@ func (s *Server) writeNTSNak(sh *shard, version uint8, req *ntppkt.Packet, peer 
 		nts.ProtectNAK(uid.Value, &nak)
 	}
 	out = nak.Encode(out[:0])
-	if _, err := sh.conn.WriteToUDP(out, peer); err != nil {
-		sh.metrics.WriteErrors.Add(1)
-		return out, false
-	}
-	return out, true
+	sh.write(out, peer, &sh.metrics.NTSNaks)
+	return out
 }
 
 // housekeep is the watchdog/housekeeping loop: it restarts wedged

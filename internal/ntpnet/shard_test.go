@@ -3,6 +3,7 @@ package ntpnet
 import (
 	"errors"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -143,5 +144,26 @@ func TestShardFallbackStillServes(t *testing.T) {
 	}
 	if got := srv.Served(); got != 3 {
 		t.Errorf("served = %d, want 3", got)
+	}
+}
+
+// TestWriteFailureTakesCountsBack: outcome counters move before the
+// reply is written, so a failed write must take every one of them
+// back and count a write error instead — never both.
+func TestWriteFailureTakesCountsBack(t *testing.T) {
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	sh := &shard{conn: conn}
+	peer := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9}
+	if sh.write(make([]byte, ntppkt.HeaderLen), peer, &sh.metrics.Served, &sh.metrics.NTSServed) {
+		t.Fatal("write on a closed socket succeeded")
+	}
+	snap := sh.metrics.Snapshot()
+	if snap.Served != 0 || snap.NTSServed != 0 || snap.WriteErrors != 1 {
+		t.Errorf("after a failed write: served=%d nts-served=%d write-errors=%d, want 0, 0 and 1",
+			snap.Served, snap.NTSServed, snap.WriteErrors)
 	}
 }

@@ -24,12 +24,14 @@
 // in N.
 //
 // Real-UDP mode keeps the same event heap but batches due clients
-// into virtual-time quanta served by a bounded worker pool of
-// connected sockets; the server's clock is the engine's VClock, so
-// its rate-limit windows follow virtual time while its overload
-// sojourn signal stays real. All workers share the loopback source
-// address, which is exactly the NAT-collision population the rate
-// limiter must not starve.
+// into virtual-time quanta served by a bounded pool of closed-loop
+// loadgen sockets (loadgen.Conn), so every reply is classified by
+// loadgen.ClassifyReply exactly as the load generator classifies it;
+// the outage signature is counted in 100ms wall-clock bins. The
+// server's clock is the engine's VClock, so its rate-limit windows
+// follow virtual time while its overload sojourn signal stays real.
+// All sockets share the loopback source address, which is exactly
+// the NAT-collision population the rate limiter must not starve.
 package population
 
 import (
@@ -220,7 +222,8 @@ type fleet struct {
 	dry     []uint8   // consecutive polls without success (sat. 255)
 	maxDry  []uint8   // worst dry streak
 	boff    []uint8   // current backoff shift
-	res     []uint8   // last UDP exchange result (worker → engine)
+	// res is the last UDP exchange's class (worker → engine).
+	res []loadgen.ReplyClass
 }
 
 func newFleet(n int) fleet {
@@ -237,7 +240,7 @@ func newFleet(n int) fleet {
 		dry:     make([]uint8, n),
 		maxDry:  make([]uint8, n),
 		boff:    make([]uint8, n),
-		res:     make([]uint8, n),
+		res:     make([]loadgen.ReplyClass, n),
 	}
 }
 
@@ -352,8 +355,8 @@ type Engine struct {
 	susp    uint64
 	darkMax int
 
-	vc  *VClock
-	udp *udpPool
+	vc   *VClock
+	dark *darkBins // ModeUDP wall-clock serving bins
 }
 
 // New builds the fleet, channel pool and event heaps. Memory is
@@ -561,7 +564,6 @@ func (e *Engine) stepSim(id int) {
 
 	if success {
 		e.ok++
-		e.bins.okAt(e.vt)
 		e.f.served[id]++
 		e.f.dry[id] = 0
 		e.f.boff[id] = 0
@@ -815,12 +817,12 @@ func (e *Engine) Stats(absThresh time.Duration) OffsetStats {
 	return st
 }
 
-// bins are fixed-width virtual-time traffic counters — the arrival
-// shape the herd and flash-crowd scenarios assert on. Memory is
-// bounded by maxBins; later traffic folds into the last bin.
+// bins are fixed-width virtual-time counters of requests sent — the
+// arrival shape the herd scenario asserts on. Memory is bounded by
+// maxBins; later traffic folds into the last bin.
 type bins struct {
-	width    int64
-	sent, ok []uint64
+	width int64
+	sent  []uint64
 }
 
 const maxBins = 1 << 20
@@ -835,23 +837,12 @@ func (b *bins) idx(vt int64) int {
 	return i
 }
 
-func (b *bins) grow(i int) {
-	for len(b.sent) <= i {
-		b.sent = append(b.sent, 0)
-		b.ok = append(b.ok, 0)
-	}
-}
-
 func (b *bins) sentAt(vt int64) {
 	i := b.idx(vt)
-	b.grow(i)
+	for len(b.sent) <= i {
+		b.sent = append(b.sent, 0)
+	}
 	b.sent[i]++
-}
-
-func (b *bins) okAt(vt int64) {
-	i := b.idx(vt)
-	b.grow(i)
-	b.ok[i]++
 }
 
 // PeakToMean is the arrival burstiness: max bin over mean bin of
@@ -876,24 +867,3 @@ func (b *bins) PeakToMean(skipBins int) float64 {
 	mean := float64(total) / float64(len(b.sent)-skipBins)
 	return float64(peak) / mean
 }
-
-// DarkStreak is the longest run of bins with traffic sent but nothing
-// answered — the outage signature the flash-crowd scenario asserts
-// the overload controller avoids.
-func (b *bins) DarkStreak() int {
-	worst, run := 0, 0
-	for i := range b.sent {
-		if b.sent[i] > 0 && b.ok[i] == 0 {
-			run++
-			if run > worst {
-				worst = run
-			}
-		} else if b.sent[i] > 0 {
-			run = 0
-		}
-	}
-	return worst
-}
-
-// Sent returns a copy of the per-bin sent counts.
-func (b *bins) Sent() []uint64 { return append([]uint64(nil), b.sent...) }

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"mntp/internal/loadgen"
 )
 
 func simConfig(n int, seed int64) Config {
@@ -219,5 +221,55 @@ func TestMillionClientMemory(t *testing.T) {
 	}
 	if big > 10*base+(8<<20) {
 		t.Fatalf("heap grew superlinearly: 100k→%dB, 1M→%dB", base, big)
+	}
+}
+
+// TestDarkStreak pins the one wall-clock outage count the real-UDP
+// scenarios share: the longest run of 100ms bins with nothing served,
+// counted only between the first and last bins in which a request
+// was sent.
+func TestDarkStreak(t *testing.T) {
+	cases := []struct {
+		name         string
+		sent, served []uint32 // per bin
+		want         int
+	}{
+		{"empty run", nil, nil, 0},
+		{"leading and trailing idle bins", []uint32{0, 0, 3, 3, 3, 0, 0}, []uint32{0, 0, 3, 3, 3, 0, 0}, 0},
+		{"gap while sending", []uint32{2, 2, 2, 2, 2, 2}, []uint32{2, 0, 0, 0, 2, 2}, 3},
+		{"idle bins inside the run are dark", []uint32{2, 0, 0, 2}, []uint32{2, 0, 0, 2}, 2},
+		{"longest of two gaps", []uint32{1, 1, 1, 1, 1, 1, 1}, []uint32{1, 0, 1, 0, 0, 1, 1}, 2},
+		{"dark tail while still sending", []uint32{1, 1, 1, 1}, []uint32{1, 1, 0, 0}, 2},
+		{"all dark", []uint32{0, 4, 4, 4, 4, 0}, []uint32{0, 0, 0, 0, 0, 0}, 4},
+	}
+	for _, c := range cases {
+		b := newDarkBins(time.Now())
+		for i := range c.sent {
+			b.sent[i].Store(c.sent[i])
+			b.served[i].Store(c.served[i])
+		}
+		if got := b.darkStreak(); got != c.want {
+			t.Errorf("%s: darkStreak = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// TestDarkBinsRecord: an exchange lands in the bin of its send time,
+// and counts as served — in the bin it completed — only when its
+// reply was served time.
+func TestDarkBinsRecord(t *testing.T) {
+	start := time.Now()
+	b := newDarkBins(start)
+	at := func(bins int) time.Time { return start.Add(time.Duration(bins)*darkBinWidth + darkBinWidth/2) }
+	b.record(at(0), at(0), loadgen.ReplyServed)
+	b.record(at(1), at(2), loadgen.ReplyKoDRate)
+	b.record(at(2), at(3), loadgen.ReplyLost)
+	b.record(at(3), at(4), loadgen.ReplyServed)
+	b.record(at(numDarkBins+5), at(numDarkBins+5), loadgen.ReplyServed) // folds into the last bin
+	if b.sent[1].Load() != 1 || b.served[1].Load() != 0 || b.served[2].Load() != 0 || b.served[4].Load() != 1 {
+		t.Errorf("bins sent=%v served=%v", b.sent[:5], b.served[:5])
+	}
+	if b.sent[numDarkBins-1].Load() != 1 || b.served[numDarkBins-1].Load() != 1 {
+		t.Error("traffic past the last bin did not fold into it")
 	}
 }

@@ -17,7 +17,6 @@ package population
 import (
 	"context"
 	"crypto/tls"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -26,9 +25,8 @@ import (
 	"time"
 
 	"mntp/internal/clock"
+	"mntp/internal/loadgen"
 	"mntp/internal/ntpnet"
-	"mntp/internal/ntppkt"
-	"mntp/internal/ntptime"
 	"mntp/internal/nts"
 	"mntp/internal/ntske"
 )
@@ -37,18 +35,17 @@ import (
 // after restartPreRun the servers drain (restartDrain budget) and the
 // replacement comes up restartGap later on the same ports; the pass
 // then runs restartPostRun more to observe recovery. Serving is
-// binned into restartBin wall slices for the dark-interval check.
+// counted in darkBins (100ms wall slices) for the dark-interval check.
 const (
 	restartPreRun  = 1 * time.Second
 	restartDrain   = 500 * time.Millisecond
 	restartGap     = 200 * time.Millisecond
 	restartPostRun = 1500 * time.Millisecond
 	restartPoll    = 100 * time.Millisecond
-	restartBin     = 100 * time.Millisecond
 	restartTimeout = 150 * time.Millisecond
 	// restartDarkBound is the dark-streak budget for the persisted
-	// pass in restartBin slices: drain (5) + gap (2) + rebind and
-	// scheduler slack. Beyond it the restart was not zero-downtime.
+	// pass in 100ms bins: drain (5) + gap (2) + rebind and scheduler
+	// slack. Beyond it the restart was not zero-downtime.
 	restartDarkBound = 12
 )
 
@@ -60,25 +57,27 @@ type restartOutcome struct {
 	darkStreak          int
 }
 
-// restartHarness drives n long-lived NTS sessions against the pinned
-// server addresses, classifying every poll.
+// restartHarness drives n long-lived NTS clients against the pinned
+// server addresses. Each client is one closed-loop loadgen socket
+// plus its NTS session; the harness keeps only the restart policy —
+// re-running NTS-KE on a NAK — and the count of what was served after
+// the restart.
 type restartHarness struct {
-	udpAddr, keAddr string
-	keTLS           *tls.Config
-	stop            chan struct{}
-	wg              sync.WaitGroup
-	start           time.Time
+	keAddr string
+	keTLS  *tls.Config
+	stop   chan struct{}
+	wg     sync.WaitGroup
+	dark   *darkBins
 
-	sent, served, fails atomic.Uint64
-	naks, reKEs         atomic.Uint64
-	servedAfter         atomic.Uint64
-	restarted           atomic.Bool
-	bins                []atomic.Uint64
+	classes     [loadgen.ReplyLost + 1]atomic.Uint64 // polls per class; ReplyLost is the last
+	reKEs       atomic.Uint64
+	servedAfter atomic.Uint64
+	restarted   atomic.Bool
 }
 
-func (h *restartHarness) worker(sess *nts.Session, stagger time.Duration) {
+func (h *restartHarness) worker(conn *loadgen.Conn, sess *nts.Session, stagger time.Duration) {
 	defer h.wg.Done()
-	cli := &ntpnet.Client{Timeout: restartTimeout}
+	defer conn.Close()
 	timer := time.NewTimer(stagger)
 	defer timer.Stop()
 	for {
@@ -87,52 +86,28 @@ func (h *restartHarness) worker(sess *nts.Session, stagger time.Duration) {
 			return
 		case <-timer.C:
 		}
-		sess = h.pollOnce(cli, sess)
+		sent := time.Now()
+		class, _ := conn.Exchange(sess)
+		h.dark.record(sent, time.Now(), class)
+		h.classes[class].Add(1)
+		switch class {
+		case loadgen.ReplyServed:
+			if h.restarted.Load() {
+				h.servedAfter.Add(1)
+			}
+		case loadgen.ReplyKoDNTS:
+			// Re-run key exchange (the client contract of RFC 8915
+			// §5.7); on failure keep the old session — ReuseWhenDry
+			// resends the last cookie, drawing another NAK next poll,
+			// and the re-KE is retried then.
+			if fresh, kerr := ntske.KeyExchange(h.keAddr, h.keTLS, 2*time.Second); kerr == nil {
+				fresh.ReuseWhenDry = true
+				h.reKEs.Add(1)
+				sess = fresh
+			}
+		}
 		timer.Reset(restartPoll)
 	}
-}
-
-// pollOnce runs one synchronous authenticated exchange and returns
-// the session to use next poll — a fresh one if an NTS NAK forced a
-// re-run of NTS-KE (the client contract of RFC 8915 §5.7).
-func (h *restartHarness) pollOnce(cli *ntpnet.Client, sess *nts.Session) *nts.Session {
-	req := ntppkt.NewClient(ntppkt.Version4, ntptime.FromTime(time.Now()))
-	st, err := sess.ProtectRequest(req)
-	if err != nil {
-		h.fails.Add(1)
-		return sess
-	}
-	h.sent.Add(1)
-	resp, _, err := cli.Exchange(h.udpAddr, req)
-	if err != nil {
-		// Timeout or ICMP-refused: the dark window while the server
-		// is down, or drops under load. Not a NAK.
-		h.fails.Add(1)
-		return sess
-	}
-	switch verr := sess.VerifyReply(resp, st); {
-	case verr == nil:
-		h.served.Add(1)
-		if h.restarted.Load() {
-			h.servedAfter.Add(1)
-		}
-		if i := int(time.Since(h.start) / restartBin); i >= 0 && i < len(h.bins) {
-			h.bins[i].Add(1)
-		}
-	case errors.Is(verr, nts.ErrNTSNak):
-		h.naks.Add(1)
-		// Re-run key exchange; on failure keep the old session —
-		// ReuseWhenDry resends the last cookie, drawing another NAK
-		// next poll, and the re-KE is retried then.
-		if fresh, kerr := ntske.KeyExchange(h.keAddr, h.keTLS, 2*time.Second); kerr == nil {
-			fresh.ReuseWhenDry = true
-			h.reKEs.Add(1)
-			return fresh
-		}
-	default:
-		h.fails.Add(1)
-	}
-	return sess
 }
 
 // startRestartServers brings up the UDP serving path and the NTS-KE
@@ -207,29 +182,34 @@ func restartPass(n int, persisted bool) (*restartOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer srvA.Close() // no-ops once drained
+	defer keA.Close()
 
 	h := &restartHarness{
-		udpAddr: udpAddr,
-		keAddr:  keAddr,
-		keTLS:   &tls.Config{InsecureSkipVerify: true},
-		stop:    make(chan struct{}),
-		start:   time.Now(),
-		bins:    make([]atomic.Uint64, 64),
+		keAddr: keAddr,
+		keTLS:  &tls.Config{InsecureSkipVerify: true},
+		stop:   make(chan struct{}),
+		dark:   newDarkBins(time.Now()),
 	}
+	stopClients := sync.OnceFunc(func() {
+		close(h.stop)
+		h.wg.Wait()
+	})
+	defer stopClients()
 	for i := 0; i < n; i++ {
 		sess, kerr := ntske.KeyExchange(keAddr, h.keTLS, 5*time.Second)
 		if kerr != nil {
-			close(h.stop)
-			h.wg.Wait()
-			keA.Close()
-			srvA.Close()
 			return nil, fmt.Errorf("population: establishing session %d: %w", i, kerr)
 		}
 		sess.ReuseWhenDry = true
+		conn, err := loadgen.Dial(udpAddr, restartTimeout)
+		if err != nil {
+			return nil, fmt.Errorf("population: dialing client %d: %w", i, err)
+		}
 		h.wg.Add(1)
 		// De-phase polls across one poll period so the fleet's load is
 		// flat rather than a synthetic herd of its own.
-		go h.worker(sess, time.Duration(i)*restartPoll/time.Duration(n))
+		go h.worker(conn, sess, time.Duration(i)*restartPoll/time.Duration(n))
 	}
 
 	time.Sleep(restartPreRun)
@@ -238,12 +218,8 @@ func restartPass(n int, persisted bool) (*restartOutcome, error) {
 	// listeners under one deadline, go dark for the gap, relaunch on
 	// the same ports.
 	if persisted {
-		if serr := ringA.Save(statePath, stateKey); serr != nil {
-			close(h.stop)
-			h.wg.Wait()
-			keA.Close()
-			srvA.Close()
-			return nil, serr
+		if err := ringA.Save(statePath, stateKey); err != nil {
+			return nil, err
 		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), restartDrain)
@@ -258,68 +234,33 @@ func restartPass(n int, persisted bool) (*restartOutcome, error) {
 	} else {
 		ringB, err = nts.NewKeyRing(3)
 	}
-	if err == nil {
-		var srvB *ntpnet.Server
-		var keB *ntske.Server
-		srvB, keB, _, _, err = startRestartServers(ringB, udpAddr, keAddr, cert)
-		if err == nil {
-			h.restarted.Store(true)
-			time.Sleep(restartPostRun)
-			close(h.stop)
-			h.wg.Wait()
-			keB.Close()
-			srvB.Close()
-		}
-	}
 	if err != nil {
-		close(h.stop)
-		h.wg.Wait()
 		return nil, err
 	}
-
-	bins := make([]uint64, len(h.bins))
-	for i := range h.bins {
-		bins[i] = h.bins[i].Load()
+	srvB, keB, _, _, err := startRestartServers(ringB, udpAddr, keAddr, cert)
+	if err != nil {
+		return nil, err
 	}
+	defer srvB.Close()
+	defer keB.Close()
+	h.restarted.Store(true)
+	time.Sleep(restartPostRun)
+	stopClients()
+
+	var sent uint64
+	for i := range h.classes {
+		sent += h.classes[i].Load()
+	}
+	served, naks := h.classes[loadgen.ReplyServed].Load(), h.classes[loadgen.ReplyKoDNTS].Load()
 	return &restartOutcome{
-		sent:        h.sent.Load(),
-		served:      h.served.Load(),
-		fails:       h.fails.Load(),
-		naks:        h.naks.Load(),
+		sent:        sent,
+		served:      served,
+		fails:       sent - served - naks,
+		naks:        naks,
 		reKEs:       h.reKEs.Load(),
 		servedAfter: h.servedAfter.Load(),
-		darkStreak:  darkStreakOf(bins),
+		darkStreak:  h.dark.darkStreak(),
 	}, nil
-}
-
-// darkStreakOf is the longest run of zero-served bins strictly between
-// the first and last bins that served anything — leading dead air
-// (session establishment) and the trailing unused tail don't count.
-func darkStreakOf(bins []uint64) int {
-	first, last := -1, -1
-	for i, b := range bins {
-		if b > 0 {
-			if first < 0 {
-				first = i
-			}
-			last = i
-		}
-	}
-	if first < 0 {
-		return len(bins)
-	}
-	maxRun, run := 0, 0
-	for i := first; i <= last; i++ {
-		if bins[i] == 0 {
-			run++
-			if run > maxRun {
-				maxRun = run
-			}
-		} else {
-			run = 0
-		}
-	}
-	return maxRun
 }
 
 // RestartStorm runs the restart twice — persisted keyring, then cold —
@@ -356,7 +297,7 @@ func RestartStorm(n int, seed int64) (*Report, error) {
 	}
 	if warm.darkStreak > restartDarkBound {
 		r.Violate("persisted restart dark interval %d×%v bins > %d (drain %v + gap %v budget)",
-			warm.darkStreak, restartBin, restartDarkBound, restartDrain, restartGap)
+			warm.darkStreak, darkBinWidth, restartDarkBound, restartDrain, restartGap)
 	}
 	if warm.servedAfter == 0 {
 		r.Violate("no requests served after the persisted restart")

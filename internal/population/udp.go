@@ -1,13 +1,11 @@
 package population
 
 import (
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"mntp/internal/ntppkt"
-	"mntp/internal/ntptime"
+	"mntp/internal/loadgen"
 )
 
 // VClock is an atomically advanced virtual clock implementing
@@ -30,117 +28,85 @@ func (v *VClock) Now() time.Time { return v.epoch.Add(time.Duration(v.ns.Load())
 // it forward.
 func (v *VClock) Advance(d time.Duration) { v.ns.Store(int64(d)) }
 
-// UDP exchange results, written by workers into fleet.res (one slot
-// per client; the batch WaitGroup publishes them to the engine).
 const (
-	resNone = iota
-	resOK
-	resRate
-	resFail
+	// darkBinWidth buckets real (wall) time for the dark-interval
+	// metric.
+	darkBinWidth = 100 * time.Millisecond
+	// numDarkBins bounds a run's wall-clock bins (~6.8 minutes); later
+	// traffic folds into the last bin.
+	numDarkBins = 4096
 )
 
-// realBinWidth buckets real (wall) time for the dark-interval metric:
-// the flash-crowd scenario asserts the server never goes a run of
-// these bins without answering anyone while traffic is in flight.
-const realBinWidth = 100 * time.Millisecond
-
-const numRealBins = 4096
-
-// udpPool is the bounded worker side of ModeUDP: one connected
-// loopback socket per worker (so every worker shares the 127.0.0.1
-// source IP — one rate-limit key for the whole population), one
-// outstanding request per worker at a time.
-type udpPool struct {
-	conns   []*net.UDPConn
-	timeout time.Duration
-	started bool
-	start   time.Time
-	realOk  [numRealBins]uint64 // atomic
-	lastBin int64               // atomic: last active real bin
+// darkBins counts real-UDP requests sent and served per 100ms of wall
+// time, from start. Workers record concurrently.
+type darkBins struct {
+	start        time.Time
+	sent, served [numDarkBins]atomic.Uint32
 }
 
-func newUDPPool(addr string, workers int, timeout time.Duration) (*udpPool, error) {
-	ra, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return nil, err
-	}
-	p := &udpPool{timeout: timeout}
-	for i := 0; i < workers; i++ {
-		c, err := net.DialUDP("udp", nil, ra)
-		if err != nil {
-			p.close()
-			return nil, err
-		}
-		p.conns = append(p.conns, c)
-	}
-	return p, nil
+func newDarkBins(start time.Time) *darkBins { return &darkBins{start: start} }
+
+func (b *darkBins) bin(t time.Time) int {
+	i := int(t.Sub(b.start) / darkBinWidth)
+	return max(0, min(i, numDarkBins-1))
 }
 
-func (p *udpPool) close() {
-	for _, c := range p.conns {
-		c.Close()
+// record notes one exchange that was sent at sent and classified as
+// class at done.
+func (b *darkBins) record(sent, done time.Time, class loadgen.ReplyClass) {
+	b.sent[b.bin(sent)].Add(1)
+	if class == loadgen.ReplyServed {
+		b.served[b.bin(done)].Add(1)
 	}
 }
 
-func (p *udpPool) realBin() int64 {
-	b := int64(time.Since(p.start) / realBinWidth)
-	if b >= numRealBins {
-		b = numRealBins - 1
-	}
-	return b
-}
-
-// exchange sends one request and classifies the reply. The transmit
-// timestamp doubles as the origin nonce; with one outstanding request
-// per socket, matching it is enough to pair replies.
-func (p *udpPool) exchange(conn *net.UDPConn, e *Engine, id int) uint8 {
-	req := ntppkt.NewClient(4, ntptime.FromTime(time.Now()))
-	buf := make([]byte, 0, ntppkt.HeaderLen)
-	buf = req.Encode(buf)
-	t0 := time.Now()
-	if err := conn.SetReadDeadline(t0.Add(p.timeout)); err != nil {
-		return resFail
-	}
-	if _, err := conn.Write(buf); err != nil {
-		return resFail
-	}
-	var rep ntppkt.Packet
-	in := make([]byte, 512)
-	for {
-		n, err := conn.Read(in)
-		if err != nil {
-			return resFail
-		}
-		if rep.DecodeInto(in[:n]) != nil || rep.Origin != req.Transmit {
-			continue // stray or stale datagram: keep waiting
-		}
-		e.rtt.Record(time.Since(t0))
-		if code, ok := rep.KissCode(); ok {
-			if code == "RATE" {
-				return resRate
+// darkStreak is the longest run of bins in which nothing was served,
+// counted from the first bin in which a request was sent to the last:
+// the wall-clock outage signature. Idle air before the first request
+// and after the last does not count.
+func (b *darkBins) darkStreak() int {
+	first, last := -1, -1
+	for i := range b.sent {
+		if b.sent[i].Load() > 0 {
+			if first < 0 {
+				first = i
 			}
-			return resFail
+			last = i
 		}
-		if rep.ValidateServerReply(req.Transmit) != nil {
-			return resFail
-		}
-		bin := p.realBin()
-		atomic.AddUint64(&p.realOk[bin], 1)
-		return resOK
 	}
+	if first < 0 {
+		return 0
+	}
+	worst, run := 0, 0
+	for i := first; i <= last; i++ {
+		if b.served[i].Load() > 0 {
+			run = 0
+			continue
+		}
+		run++
+		worst = max(worst, run)
+	}
+	return worst
 }
 
 // runUDP advances the population against the real server: virtual
 // time is quantized, each quantum's due clients form one batch served
-// by the worker pool in real time, then virtual time jumps to the
-// next quantum.
+// in real time by a bounded pool of closed-loop loadgen sockets, then
+// virtual time jumps to the next quantum.
 func (e *Engine) runUDP(horizon time.Duration) error {
-	pool, err := newUDPPool(e.cfg.Addr, e.cfg.Workers, e.cfg.Timeout)
-	if err != nil {
-		return err
+	conns := make([]*loadgen.Conn, 0, e.cfg.Workers)
+	defer func() {
+		for _, c := range conns {
+			c.Close()
+		}
+	}()
+	for i := 0; i < e.cfg.Workers; i++ {
+		c, err := loadgen.Dial(e.cfg.Addr, e.cfg.Timeout)
+		if err != nil {
+			return err
+		}
+		conns = append(conns, c)
 	}
-	defer pool.close()
-	e.udp = pool
 
 	h := int64(horizon)
 	q := int64(e.cfg.Quantum)
@@ -174,7 +140,7 @@ func (e *Engine) runUDP(horizon time.Duration) error {
 			}
 			batch = append(batch, e.heaps[s2].pop())
 		}
-		e.dispatch(pool, batch)
+		e.dispatch(conns, batch)
 		e.vt = qEnd
 	}
 	if e.vt < h {
@@ -183,53 +149,51 @@ func (e *Engine) runUDP(horizon time.Duration) error {
 	return nil
 }
 
-// dispatch serves one quantum's batch through the worker pool and
+// dispatch serves one quantum's batch through the socket pool and
 // folds the results back into the fleet on the engine thread.
-func (e *Engine) dispatch(pool *udpPool, batch []ev) {
+func (e *Engine) dispatch(conns []*loadgen.Conn, batch []ev) {
 	if len(batch) == 0 {
 		return
 	}
-	if !pool.started {
-		pool.started = true
-		pool.start = time.Now()
+	if e.dark == nil {
+		e.dark = newDarkBins(time.Now())
 	}
 	e.sent += uint64(len(batch))
 	for _, evt := range batch {
 		e.bins.sentAt(evt.at)
-		e.f.res[evt.id] = resFail
+		e.f.res[evt.id] = loadgen.ReplyLost
 	}
 
 	if !e.down {
-		nw := len(pool.conns)
-		if nw > len(batch) {
-			nw = len(batch)
-		}
+		nw := min(len(conns), len(batch))
 		var wg sync.WaitGroup
 		for w := 0; w < nw; w++ {
 			wg.Add(1)
-			go func(w int) {
+			go func(c *loadgen.Conn) {
 				defer wg.Done()
-				conn := pool.conns[w]
 				for i := w; i < len(batch); i += nw {
-					id := int(batch[i].id)
-					e.f.res[id] = pool.exchange(conn, e, id)
+					sent := time.Now()
+					class, rtt := c.Exchange(nil)
+					if class != loadgen.ReplyLost {
+						e.rtt.Record(rtt)
+					}
+					e.dark.record(sent, time.Now(), class)
+					e.f.res[batch[i].id] = class
 				}
-			}(w)
+			}(conns[w])
 		}
 		wg.Wait()
 	}
-	atomic.StoreInt64(&pool.lastBin, pool.realBin())
 
 	for _, evt := range batch {
 		id := int(evt.id)
 		switch e.f.res[id] {
-		case resOK:
+		case loadgen.ReplyServed:
 			e.ok++
-			e.bins.okAt(evt.at)
 			e.f.served[id]++
 			e.f.dry[id] = 0
 			e.f.boff[id] = 0
-		case resRate:
+		case loadgen.ReplyKoDRate:
 			e.rated++
 			e.f.rated[id]++
 			e.bump(id)
@@ -241,25 +205,13 @@ func (e *Engine) dispatch(pool *udpPool, batch []ev) {
 	}
 }
 
-// DarkStreakReal is the longest run of real-time bins (100ms) with no
-// request answered between the first dispatch and the last batch
-// completion — the wall-clock outage signature for ModeUDP, where
-// batches run back-to-back in real time.
+// DarkStreakReal is the longest run of 100ms wall-clock bins with no
+// request served, from the first request sent to the last — the
+// outage signature for ModeUDP, where batches run back-to-back in
+// real time.
 func (e *Engine) DarkStreakReal() int {
-	if e.udp == nil || !e.udp.started {
+	if e.dark == nil {
 		return 0
 	}
-	last := atomic.LoadInt64(&e.udp.lastBin)
-	worst, run := 0, 0
-	for i := int64(0); i <= last && i < numRealBins; i++ {
-		if atomic.LoadUint64(&e.udp.realOk[i]) == 0 {
-			run++
-			if run > worst {
-				worst = run
-			}
-		} else {
-			run = 0
-		}
-	}
-	return worst
+	return e.dark.darkStreak()
 }
